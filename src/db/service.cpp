@@ -69,6 +69,7 @@ QueryService::QueryService(Database& db, QueryServiceOptions opts)
 
   sessions_.reserve(workers);
   workers_.reserve(workers);
+  worker_states_.assign(workers, WorkerState::kIdle);
   for (std::size_t i = 0; i < workers; ++i) {
     SessionOptions worker_opts = opts_.session;
     worker_opts.models = model_cache_;
@@ -323,7 +324,15 @@ std::size_t QueryService::queue_depth() const {
 
 QueryService::Counters QueryService::counters() const {
   std::lock_guard lock(mutex_);
-  return counters_;
+  Counters c = counters_;
+  c.executing = static_cast<std::size_t>(std::count(
+      worker_states_.begin(), worker_states_.end(), WorkerState::kExecuting));
+  return c;
+}
+
+std::vector<QueryService::WorkerState> QueryService::worker_states() const {
+  std::lock_guard lock(mutex_);
+  return worker_states_;
 }
 
 void QueryService::settle_success(Task& task, ResultSet rs) {
@@ -396,9 +405,11 @@ void QueryService::worker_loop(std::size_t index) {
     std::vector<Task> batch;
     {
       std::unique_lock lock(mutex_);
+      worker_states_[index] = WorkerState::kIdle;
       work_available_.wait(lock,
                            [&] { return !queue_.empty() || !accepting_; });
       if (queue_.empty()) return;  // shutdown requested and queue drained
+      worker_states_[index] = WorkerState::kGathering;
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
       batch.front().dequeued = std::chrono::steady_clock::now();
@@ -455,6 +466,7 @@ void QueryService::worker_loop(std::size_t index) {
           }
         }
       }
+      worker_states_[index] = WorkerState::kExecuting;
     }
     // Statements already dead at dequeue (deadline spent in the queue,
     // caller cancelled) settle typed without costing an execution — and

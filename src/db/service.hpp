@@ -135,6 +135,13 @@ struct QueryServiceOptions {
 
 class QueryService {
  public:
+  /// What one worker is doing right now.
+  enum class WorkerState {
+    kIdle,       ///< waiting for work
+    kGathering,  ///< took a statement; collecting batchmates (gather window)
+    kExecuting,  ///< running its statement or batch
+  };
+
   /// Robustness telemetry since construction (monotonic, mutex-consistent).
   struct Counters {
     std::size_t rejected = 0;      ///< admissions refused (kReject, or kBlock
@@ -145,6 +152,8 @@ class QueryService {
     std::size_t retries = 0;       ///< transient-failure re-executions
     std::size_t degraded_gathers = 0;  ///< gathers run with the boosted window
     std::size_t peak_queue_depth = 0;  ///< high-water mark of queue_depth()
+    /// Workers in WorkerState::kExecuting now (a gauge, not monotonic).
+    std::size_t executing = 0;
   };
 
   explicit QueryService(Database& db, QueryServiceOptions opts = {});
@@ -200,6 +209,10 @@ class QueryService {
   /// Statements currently waiting in the queue (internal work excluded).
   std::size_t queue_depth() const;
   Counters counters() const;
+  /// Every worker's current state, index-aligned with the pool. A worker
+  /// leaves kExecuting only after settling its statements' futures, so a
+  /// caller that just drained a future may still see it executing.
+  std::vector<WorkerState> worker_states() const;
   const std::shared_ptr<ModelCache>& model_cache() const {
     return model_cache_;
   }
@@ -263,6 +276,8 @@ class QueryService {
   /// internal tasks).
   std::size_t external_queued_ = 0;
   Counters counters_;
+  /// One per worker, sized before the threads start; guarded by mutex_.
+  std::vector<WorkerState> worker_states_;
   /// Serializes warm_up calls: two interleaved warm-up barriers on one FIFO
   /// queue could each hold half the workers forever.
   std::mutex warm_mutex_;

@@ -685,6 +685,10 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
         scan.stats.predicates_short_circuited;
     stats.filter_cache_hits += scan.stats.filter_cache_hits;
     stats.filter_cache_misses += scan.stats.filter_cache_misses;
+    stats.classification_memo_hits += scan.stats.classification_memo_hits;
+    // Each scan resets its module's wear, so a table's worst row is that
+    // scan's; the join's worst-row writes sum them, as its latency does.
+    stats.wear_row_writes += scan.stats.wear_row_writes;
     inputs[t].columns = std::move(scan.columns);
   }
 

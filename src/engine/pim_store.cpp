@@ -1,6 +1,7 @@
 #include "engine/pim_store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 #include <unordered_set>
@@ -94,20 +95,7 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
 
   // Distinct stats for GROUP-BY candidate enumeration.
   for (std::size_t a = 0; a < nattrs; ++a) {
-    std::unordered_set<std::uint64_t> seen;
-    bool capped = false;
-    for (const std::uint64_t v : table.column(a)) {
-      seen.insert(v);
-      if (seen.size() > opt.max_distinct) {
-        capped = true;
-        break;
-      }
-    }
-    if (!capped) {
-      std::vector<std::uint64_t> vals(seen.begin(), seen.end());
-      std::sort(vals.begin(), vals.end());
-      distinct_[a] = std::move(vals);
-    }
+    distinct_[a] = scan_distinct(*this, a, /*mutated=*/false, max_distinct_);
   }
 }
 
@@ -130,21 +118,31 @@ void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {
 }
 
 void PimStore::load_part(int part) {
+  // One block scatter per (record block, attribute): the same bits and the
+  // same per-row wear as a write_row_bits per record and attribute.
   const RecordLayout& layout = layouts_[part];
-  for (std::size_t p = 0; p < pages_per_part_; ++p) {
-    pim::Page& pg = page(part, p);
-    const std::size_t first = p * records_per_page_;
-    const std::uint32_t count = page_records(p);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::size_t r = first + i;
-      const pim::Page::RecordCoord c = pg.locate(i);
-      pim::Crossbar& xb = pg.crossbar(c.crossbar);
-      for (const std::size_t a : layout.attrs()) {
-        const pim::Field f = layout.field(a);
-        xb.write_row_bits(c.row, f.offset, f.width, table_->value(r, a));
-      }
-      xb.write_row_bits(c.row, layout.valid_col(), 1, 1);
+  std::array<std::uint64_t, kBlockRecords> vals;
+  std::array<std::uint64_t, kBlockRecords> ones;
+  ones.fill(1);
+  for (std::size_t b = 0; b < record_blocks(); ++b) {
+    const std::size_t first = b * kBlockRecords;
+    const std::uint32_t n = block_records(b);
+    const std::uint64_t mask = n == 64 ? ~0ULL : (1ULL << n) - 1;
+    const std::uint32_t in_page =
+        static_cast<std::uint32_t>(first % records_per_page_);
+    const pim::Page::RecordCoord c =
+        page(part, first / records_per_page_).locate(in_page);
+    pim::Crossbar& xb = page(part, first / records_per_page_)
+                            .crossbar(c.crossbar);
+    const std::uint32_t word = c.row / kBlockRecords;
+    for (const std::size_t a : layout.attrs()) {
+      const std::vector<std::uint64_t>& col = table_->column(a);
+      std::copy(col.begin() + first, col.begin() + first + n, vals.begin());
+      std::fill(vals.begin() + n, vals.end(), 0ULL);
+      const pim::Field f = layout.field(a);
+      xb.write_rows_block(word, mask, f.offset, f.width, vals);
     }
+    xb.write_rows_block(word, mask, layout.valid_col(), 1, ones);
   }
 }
 
@@ -173,24 +171,16 @@ PimStore::functional_dependency(std::size_t attr_a, std::size_t attr_b) const {
   // Through the refreshing accessor: mutation can change the capped status.
   if (!distinct_values(attr_a) || !distinct_values(attr_b)) return nullptr;
   const auto key = std::make_pair(attr_a, attr_b);
-  const auto it = fd_cache_.find(key);
-  if (it != fd_cache_.end()) {
-    return it->second ? &*it->second : nullptr;
+  auto it = fd_cache_.find(key);
+  if (it == fd_cache_.end()) {
+    it = fd_cache_
+             .emplace(key, scan_functional_dependency(
+                               *this, attr_a, attr_mutated_[attr_a], attr_b,
+                               attr_mutated_[attr_b],
+                               distinct_[attr_a]->size()))
+             .first;
   }
-  std::unordered_map<std::uint64_t, std::uint64_t> map;
-  map.reserve(distinct_[attr_a]->size());
-  for (std::size_t r = 0; r < records_; ++r) {
-    const std::uint64_t va = current_value(r, attr_a);
-    const std::uint64_t vb = current_value(r, attr_b);
-    const auto [entry, fresh] = map.try_emplace(va, vb);
-    if (!fresh && entry->second != vb) {
-      fd_cache_.emplace(key, std::nullopt);  // violated: not a dependency
-      return nullptr;
-    }
-  }
-  auto [stored, ignored] = fd_cache_.emplace(key, std::move(map));
-  (void)ignored;
-  return &*stored->second;
+  return it->second ? &*it->second : nullptr;
 }
 
 const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
@@ -201,22 +191,16 @@ PimStore::co_occurrence(std::size_t attr_a, std::size_t attr_b) const {
   if (attr_a == attr_b) return nullptr;
   if (!distinct_values(attr_a) || !distinct_values(attr_b)) return nullptr;
   const auto key = std::make_pair(attr_a, attr_b);
-  const auto it = co_cache_.find(key);
-  if (it != co_cache_.end()) return &it->second;
-
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
-  map.reserve(distinct_[attr_a]->size());
-  for (std::size_t r = 0; r < records_; ++r) {
-    std::vector<std::uint64_t>& vals = map[current_value(r, attr_a)];
-    const std::uint64_t vb = current_value(r, attr_b);
-    if (std::find(vals.begin(), vals.end(), vb) == vals.end()) {
-      vals.push_back(vb);
-    }
+  auto it = co_cache_.find(key);
+  if (it == co_cache_.end()) {
+    it = co_cache_
+             .emplace(key, scan_co_occurrence(*this, attr_a,
+                                              attr_mutated_[attr_a], attr_b,
+                                              attr_mutated_[attr_b],
+                                              distinct_[attr_a]->size()))
+             .first;
   }
-  for (auto& [a, vals] : map) std::sort(vals.begin(), vals.end());
-  auto [stored, fresh] = co_cache_.emplace(key, std::move(map));
-  (void)fresh;
-  return &stored->second;
+  return &it->second;
 }
 
 std::uint64_t PimStore::read_attr(std::size_t record, std::size_t attr) const {
@@ -227,10 +211,33 @@ std::uint64_t PimStore::read_attr(std::size_t record, std::size_t attr) const {
                                     layouts_[part].field(attr));
 }
 
-std::uint64_t PimStore::current_value(std::size_t record,
-                                      std::size_t attr) const {
-  return attr_mutated_[attr] ? read_attr(record, attr)
-                             : table_->column(attr)[record];
+void PimStore::read_attr_block(
+    std::size_t block, std::size_t attr,
+    std::span<std::uint64_t, kBlockRecords> out) const {
+  const int part = attr_part_.at(attr);
+  const std::size_t first = block * kBlockRecords;
+  const pim::Page& pg =
+      module_->page(module_page_index(part, first / records_per_page_));
+  const pim::Page::RecordCoord c =
+      pg.locate(static_cast<std::uint32_t>(first % records_per_page_));
+  const pim::Field f = layouts_[part].field(attr);
+  const std::uint32_t n = block_records(block);
+  pg.crossbar(c.crossbar)
+      .read_rows_block(c.row / kBlockRecords,
+                       n == kBlockRecords ? ~0ULL : (1ULL << n) - 1, f.offset,
+                       f.width, out);
+}
+
+void PimStore::current_block(std::size_t block, std::size_t attr, bool mutated,
+                             std::span<std::uint64_t, kBlockRecords> out) const {
+  if (mutated) {
+    read_attr_block(block, attr, out);
+    return;
+  }
+  const std::vector<std::uint64_t>& col = table_->column(attr);
+  const std::size_t first = block * kBlockRecords;
+  const std::uint32_t n = block_records(block);
+  std::copy(col.begin() + first, col.begin() + first + n, out.begin());
 }
 
 const std::optional<std::vector<std::uint64_t>>& PimStore::distinct_values(
@@ -238,24 +245,10 @@ const std::optional<std::vector<std::uint64_t>>& PimStore::distinct_values(
   if (snap_ != nullptr) return snap_->stats().distinct_values(attr, *this);
   if (distinct_stale_.at(attr)) {
     // Rebuild from the crossbars (the backing table column no longer
-    // reflects the stored values). Same capping rule as load time. Lazy so
-    // a burst of replayed updates pays one rescan at the next consumer.
-    std::unordered_set<std::uint64_t> seen;
-    bool capped = false;
-    for (std::size_t r = 0; r < records_; ++r) {
-      seen.insert(read_attr(r, attr));
-      if (seen.size() > max_distinct_) {
-        capped = true;
-        break;
-      }
-    }
-    if (capped) {
-      distinct_[attr].reset();
-    } else {
-      std::vector<std::uint64_t> vals(seen.begin(), seen.end());
-      std::sort(vals.begin(), vals.end());
-      distinct_[attr] = std::move(vals);
-    }
+    // reflects the stored values). Lazy so a burst of replayed updates pays
+    // one rescan at the next consumer.
+    distinct_[attr] = scan_distinct(*this, attr, /*mutated=*/true,
+                                    max_distinct_);
     distinct_stale_[attr] = false;
   }
   return distinct_.at(attr);
@@ -264,9 +257,14 @@ const std::optional<std::vector<std::uint64_t>>& PimStore::distinct_values(
 std::uint64_t PimStore::contents_checksum() const {
   std::uint64_t h = 1469598103934665603ULL;
   const std::size_t nattrs = table_->schema().attribute_count();
-  for (std::size_t r = 0; r < records_; ++r) {
-    for (std::size_t a = 0; a < nattrs; ++a) {
-      h = (h ^ read_attr(r, a)) * 1099511628211ULL;
+  std::vector<std::array<std::uint64_t, kBlockRecords>> vals(nattrs);
+  for (std::size_t b = 0; b < record_blocks(); ++b) {
+    for (std::size_t a = 0; a < nattrs; ++a) read_attr_block(b, a, vals[a]);
+    // Record-major, as a walk of read_attr(r, a) would hash.
+    for (std::uint32_t j = 0; j < block_records(b); ++j) {
+      for (std::size_t a = 0; a < nattrs; ++a) {
+        h = (h ^ vals[a][j]) * 1099511628211ULL;
+      }
     }
   }
   return h;
@@ -275,11 +273,15 @@ std::uint64_t PimStore::contents_checksum() const {
 void PimStore::rebuild_zone_crossbar(std::size_t attr,
                                      std::size_t crossbar) const {
   zones_.clear(attr, crossbar);
-  const std::size_t first = crossbar * rows_per_crossbar_;
-  const std::size_t last =
-      std::min<std::size_t>(first + rows_per_crossbar_, records_);
-  for (std::size_t r = first; r < last; ++r) {
-    zones_.add(attr, crossbar, read_attr(r, attr));
+  const std::size_t blocks = rows_per_crossbar_ / kBlockRecords;
+  const std::size_t first = crossbar * blocks;
+  const std::size_t last = std::min(first + blocks, record_blocks());
+  std::array<std::uint64_t, kBlockRecords> vals;
+  for (std::size_t b = first; b < last; ++b) {
+    read_attr_block(b, attr, vals);
+    for (std::uint32_t j = 0; j < block_records(b); ++j) {
+      zones_.add(attr, crossbar, vals[j]);
+    }
   }
 }
 
@@ -323,7 +325,7 @@ void PimStore::note_mutation(std::size_t attr,
   }
 
   // Derived-statistics caches involving the attribute are stale; drop them
-  // so the next consumer recomputes from current data (current_value reads
+  // so the next consumer recomputes from current data (current_block reads
   // mutated attributes through the crossbars).
   for (auto it = fd_cache_.begin(); it != fd_cache_.end();) {
     it = (it->first.first == attr || it->first.second == attr)
@@ -345,6 +347,63 @@ void PimStore::note_mutation(std::size_t attr,
   // Page classifications summarize the mutated data; drop them wholesale
   // (keys do not name attributes, and mutation is rare on the builder).
   class_memo_.invalidate();
+}
+
+std::optional<std::vector<std::uint64_t>> scan_distinct(
+    const PimStore& store, std::size_t attr, bool mutated,
+    std::size_t max_distinct) {
+  std::unordered_set<std::uint64_t> seen;
+  std::array<std::uint64_t, PimStore::kBlockRecords> vals;
+  for (std::size_t b = 0; b < store.record_blocks(); ++b) {
+    store.current_block(b, attr, mutated, vals);
+    for (std::uint32_t j = 0; j < store.block_records(b); ++j) {
+      seen.insert(vals[j]);
+      if (seen.size() > max_distinct) return std::nullopt;
+    }
+  }
+  std::vector<std::uint64_t> sorted(seen.begin(), seen.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+std::optional<std::unordered_map<std::uint64_t, std::uint64_t>>
+scan_functional_dependency(const PimStore& store, std::size_t attr_a,
+                           bool mutated_a, std::size_t attr_b, bool mutated_b,
+                           std::size_t reserve) {
+  std::unordered_map<std::uint64_t, std::uint64_t> map;
+  map.reserve(reserve);
+  std::array<std::uint64_t, PimStore::kBlockRecords> va;
+  std::array<std::uint64_t, PimStore::kBlockRecords> vb;
+  for (std::size_t b = 0; b < store.record_blocks(); ++b) {
+    store.current_block(b, attr_a, mutated_a, va);
+    store.current_block(b, attr_b, mutated_b, vb);
+    for (std::uint32_t j = 0; j < store.block_records(b); ++j) {
+      const auto [entry, fresh] = map.try_emplace(va[j], vb[j]);
+      if (!fresh && entry->second != vb[j]) return std::nullopt;
+    }
+  }
+  return map;
+}
+
+std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
+scan_co_occurrence(const PimStore& store, std::size_t attr_a, bool mutated_a,
+                   std::size_t attr_b, bool mutated_b, std::size_t reserve) {
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
+  map.reserve(reserve);
+  std::array<std::uint64_t, PimStore::kBlockRecords> va;
+  std::array<std::uint64_t, PimStore::kBlockRecords> vb;
+  for (std::size_t b = 0; b < store.record_blocks(); ++b) {
+    store.current_block(b, attr_a, mutated_a, va);
+    store.current_block(b, attr_b, mutated_b, vb);
+    for (std::uint32_t j = 0; j < store.block_records(b); ++j) {
+      std::vector<std::uint64_t>& vals = map[va[j]];
+      if (std::find(vals.begin(), vals.end(), vb[j]) == vals.end()) {
+        vals.push_back(vb[j]);
+      }
+    }
+  }
+  for (auto& [a, vals] : map) std::sort(vals.begin(), vals.end());
+  return map;
 }
 
 }  // namespace bbpim::engine

@@ -11,12 +11,14 @@
 // potential subgroups according to query and database details", Table II).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -104,6 +106,30 @@ class PimStore {
 
   /// Functional host read of one attribute of one record.
   std::uint64_t read_attr(std::size_t record, std::size_t attr) const;
+
+  /// Records come in blocks of 64: block b is records [64 * b, 64 * b + 64),
+  /// which is one row word of one crossbar (crossbar rows and pages hold
+  /// whole blocks). The last block may be partial.
+  static constexpr std::size_t kBlockRecords = 64;
+  std::size_t record_blocks() const {
+    return (records_ + kBlockRecords - 1) / kBlockRecords;
+  }
+  /// Records of block `block` that exist (64 except for the last block).
+  std::uint32_t block_records(std::size_t block) const {
+    return static_cast<std::uint32_t>(std::min<std::size_t>(
+        kBlockRecords, records_ - block * kBlockRecords));
+  }
+  /// Block host read of one attribute: out[j] is record 64 * block + j, read
+  /// with one crossbar block gather (pim::Crossbar::read_rows_block).
+  /// Entries past block_records(block) are not written.
+  void read_attr_block(std::size_t block, std::size_t attr,
+                       std::span<std::uint64_t, kBlockRecords> out) const;
+  /// Current values of one attribute over one block: the crossbars once the
+  /// attribute was mutated, the (cheaper) backing table column before.
+  /// `mutated` is the caller's view of that (the builder's or a snapshot's).
+  /// Entries past block_records(block) are not written.
+  void current_block(std::size_t block, std::size_t attr, bool mutated,
+                     std::span<std::uint64_t, kBlockRecords> out) const;
 
   /// Sorted distinct values of an attribute, or nullopt when cardinality
   /// exceeded Options::max_distinct. After an in-place mutation the stats
@@ -234,9 +260,6 @@ class PimStore {
 
  private:
   void load_part(int part);
-  /// Current value of one attribute of one record: the crossbars once the
-  /// attribute was mutated, the (cheaper) backing table column before.
-  std::uint64_t current_value(std::size_t record, std::size_t attr) const;
   /// Exact sketch rebuild of one (attr, crossbar) from the crossbar data.
   void rebuild_zone_crossbar(std::size_t attr, std::size_t crossbar) const;
 
@@ -276,5 +299,27 @@ class PimStore {
   /// Set iff this store is a view; pins the snapshot it serves.
   std::shared_ptr<const StoreSnapshot> snap_;
 };
+
+// Derived statistics over a store's current values, shared by the builder
+// (PimStore) and the snapshot stats (SnapshotStats). Each walks the records
+// in ascending order, one block of 64 at a time (PimStore::current_block);
+// `mutated_*` says whether an attribute's values must come from the
+// crossbars rather than the backing table.
+
+/// Sorted distinct values of `attr`, or nullopt once more than
+/// `max_distinct` are seen.
+std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
+                                                       std::size_t attr,
+                                                       bool mutated,
+                                                       std::size_t max_distinct);
+/// Value map of the functional dependency a -> b, or nullopt when violated.
+std::optional<std::unordered_map<std::uint64_t, std::uint64_t>>
+scan_functional_dependency(const PimStore& store, std::size_t attr_a,
+                           bool mutated_a, std::size_t attr_b, bool mutated_b,
+                           std::size_t reserve);
+/// Sorted b values co-occurring with each a value.
+std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
+scan_co_occurrence(const PimStore& store, std::size_t attr_a, bool mutated_a,
+                   std::size_t attr_b, bool mutated_b, std::size_t reserve);
 
 }  // namespace bbpim::engine

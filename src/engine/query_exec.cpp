@@ -1,6 +1,8 @@
 #include "engine/query_exec.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -425,6 +427,72 @@ class Execution {
       }
     }
     return attrs;
+  }
+
+  /// An attribute resolved once for a block walk: its part and field.
+  struct WalkAttr {
+    int part;
+    pim::Field f;
+  };
+  std::vector<WalkAttr> walk_attrs(const std::vector<std::size_t>& attrs) const {
+    std::vector<WalkAttr> walk;
+    walk.reserve(attrs.size());
+    for (const std::size_t a : attrs) {
+      walk.push_back({store_.part_of_attr(a), store_.field(a)});
+    }
+    return walk;
+  }
+  using BlockValues = std::vector<std::array<std::uint64_t, 64>>;
+
+  /// Survivor mask of record block `blk` of a page (its records
+  /// [64 * blk, 64 * blk + 64), one row word of one crossbar): the page's
+  /// select bits cut at its `valid` records.
+  static std::uint64_t block_mask(const BitVec& bits, std::size_t blk,
+                                  std::uint32_t valid) {
+    const std::size_t first = blk * 64;
+    if (first >= valid) return 0;
+    const std::uint64_t m = bits.words()[blk];
+    return valid - first >= 64 ? m : m & ((1ULL << (valid - first)) - 1);
+  }
+
+  /// Walks the survivors of page `p` a record block at a time, in record
+  /// order: for every block with a survivor, gathers each of `walk`'s
+  /// attributes with one crossbar block gather (vals[a][j] for every bit j
+  /// of the block's survivor mask) and calls
+  /// fn(first_record_in_page, mask, vals). Returns the page's unique host
+  /// lines: a line carries one chunk of one row of every crossbar of the
+  /// page, so they are the rows any crossbar's survivor sits on (the block
+  /// masks OR-ed across crossbars) times `chunks` lines per row — the count
+  /// a per-survivor ReadSet::touch of every chunk would reach.
+  template <typename Fn>
+  std::uint32_t walk_page_blocks(std::size_t p, const BitVec& bits,
+                                 const std::vector<WalkAttr>& walk,
+                                 std::size_t chunks, BlockValues& vals,
+                                 Fn&& fn) {
+    const std::uint32_t valid = store_.page_records(p);
+    const pim::Page* part_pages[2] = {&store_.page(0, p), nullptr};
+    if (store_.parts() == 2) part_pages[1] = &store_.page(1, p);
+    const std::uint32_t row_words = rows() / 64;
+    std::vector<std::uint64_t> row_or(row_words, 0);
+    vals.resize(walk.size());
+    for (std::uint32_t x = 0; x < part_pages[0]->crossbar_count(); ++x) {
+      for (std::uint32_t w = 0; w < row_words; ++w) {
+        const std::size_t blk = static_cast<std::size_t>(x) * row_words + w;
+        const std::uint64_t mask = block_mask(bits, blk, valid);
+        if (mask == 0) continue;
+        row_or[w] |= mask;
+        for (std::size_t a = 0; a < walk.size(); ++a) {
+          part_pages[walk[a].part]->crossbar(x).read_rows_block(
+              w, mask, walk[a].f.offset, walk[a].f.width, vals[a]);
+        }
+        fn(blk * 64, mask, vals);
+      }
+    }
+    std::uint32_t rows_hit = 0;
+    for (const std::uint64_t m : row_or) {
+      rows_hit += static_cast<std::uint32_t>(std::popcount(m));
+    }
+    return rows_hit * static_cast<std::uint32_t>(chunks);
   }
 
   // --- members ---------------------------------------------------------------
@@ -1022,36 +1090,32 @@ void Execution::sample_phase() {
     ++stats_.pim_requests;
   }
 
-  // Read the group attributes of every sampled survivor. The dense read-set
-  // variant dedupes lines on a bitmap instead of a hash set.
-  host::ReadSet rs =
-      vectorized_
-          ? host::ReadSet(1, rows(),
-                          static_cast<std::uint32_t>(store_.parts()) *
-                              cfg_.chunks_per_row())
-          : host::ReadSet(1);
-  const auto chunks = chunk_set(q_.group_by);
+  // Read the group attributes of every sampled survivor, a record block at
+  // a time.
   std::unordered_map<GroupKey, std::uint64_t, KeyHash> counts;
   std::size_t hits = 0;
+  std::uint32_t lines = 0;
   const std::uint32_t valid = store_.page_records(0);
-  for (std::size_t i = bits.find_next(0); i < bits.size();
-       i = bits.find_next(i + 1)) {
-    if (i >= valid) break;
-    ++hits;
-    const pim::Page::RecordCoord c = store_.page(0, 0).locate(
-        static_cast<std::uint32_t>(i));
-    for (const auto& [part, chunk] : chunks) {
-      rs.touch(0, c.row,
-               static_cast<std::uint32_t>(part) * cfg_.chunks_per_row() + chunk);
-    }
-    ++counts[group_attr_key(i)];
+  if (!page0_skipped) {
+    GroupKey key(q_.group_by.size(), 0);
+    BlockValues vals;
+    lines = walk_page_blocks(
+        0, bits, walk_attrs(q_.group_by), chunk_set(q_.group_by).size(), vals,
+        [&](std::size_t, std::uint64_t mask, const BlockValues& v) {
+          for (; mask != 0; mask &= mask - 1) {
+            const unsigned j = static_cast<unsigned>(std::countr_zero(mask));
+            ++hits;
+            for (std::size_t a = 0; a < key.size(); ++a) key[a] = v[a][j];
+            ++counts[key];
+          }
+        });
   }
   // Single-threaded sample walk (shared across threads, Section V-A).
   const TimeNs read_ns =
-      static_cast<double>(rs.unique_lines()) * hcfg_.line_random_ns +
+      static_cast<double>(lines) * hcfg_.line_random_ns +
       static_cast<double>(hits) * hcfg_.cpu_ns_per_sample;
   meter_.add(pim::EnergyCat::kRead,
-             static_cast<double>(rs.unique_lines()) * cfg_.line_bytes() * 8 *
+             static_cast<double>(lines) * cfg_.line_bytes() * 8 *
                  cfg_.read_energy_pj_per_bit * units::kJoulePerPj);
   advance_clock(clock_ + read_ns, slot);
 
@@ -1289,11 +1353,11 @@ void Execution::host_gb_phase() {
     page_lines.assign(rs.per_page_lines().begin(), rs.per_page_lines().end());
   } else {
     // Page-parallel walk: every page classifies into a private group map
-    // with a reused key buffer and counts unique lines in a page-local
-    // bitmap; partials are merged into results_ in page order. Per-key
-    // combines are exact integer ops, so the split is invisible: the merged
-    // map — and after the total-order sort, the rows — match the
-    // record-at-a-time walk bit for bit.
+    // with a reused key buffer, a record block at a time (one block gather
+    // per attribute, see walk_page_blocks); partials are merged into
+    // results_ in page order. Per-key combines are exact integer ops, so the
+    // split is invisible: the merged map — and after the total-order sort,
+    // the rows — match the record-at-a-time walk bit for bit.
     struct PagePartial {
       std::unordered_map<GroupKey, std::int64_t, KeyHash> groups;
       /// Bit-packed variant used when the group attributes fit in 64 bits
@@ -1303,99 +1367,70 @@ void Execution::host_gb_phase() {
       std::uint32_t lines = 0;
     };
     std::vector<PagePartial> partials(pages());
-    // Hoisted attribute access: (part, field) resolved once, the page
-    // reference once per page — the walk reads crossbar words directly
-    // instead of going through PimStore::read_attr per record per attr.
-    struct WalkAttr {
-      int part;
-      pim::Field f;
-    };
-    std::vector<WalkAttr> group_attrs;
-    group_attrs.reserve(q_.group_by.size());
+    // Walked attributes: the group attributes, then the aggregate operands.
+    const std::vector<WalkAttr> group_attrs = walk_attrs(q_.group_by);
     std::uint32_t key_bits = 0;
-    for (const std::size_t a : q_.group_by) {
-      group_attrs.push_back({store_.part_of_attr(a), store_.field(a)});
-      key_bits += store_.field(a).width;
-    }
+    for (const WalkAttr& wa : group_attrs) key_bits += wa.f.width;
     // Field values are < 2^width by construction, so concatenating them is
     // a lossless key encoding whenever the total width fits a word.
     const bool pack_keys = key_bits <= 64;
     const bool want_values = q_.agg_func != sql::AggFunc::kCount;
     const bool have_b = q_.agg_expr.kind != sql::Expr::Kind::kColumn;
-    WalkAttr attr_a{0, {}};
-    WalkAttr attr_b{0, {}};
+    std::vector<std::size_t> walked(q_.group_by);
+    const std::size_t idx_a = walked.size();
+    const std::size_t idx_b = idx_a + 1;
     if (want_values) {
-      attr_a = {store_.part_of_attr(q_.agg_expr.a), store_.field(q_.agg_expr.a)};
-      if (have_b) {
-        attr_b = {store_.part_of_attr(q_.agg_expr.b),
-                  store_.field(q_.agg_expr.b)};
-      }
+      walked.push_back(q_.agg_expr.a);
+      if (have_b) walked.push_back(q_.agg_expr.b);
     }
+    const std::vector<WalkAttr> walk = walk_attrs(walked);
     run_jobs(active_pages_.size(), [&](std::size_t job, pim::EnergyMeter&) {
       const std::size_t p = active_pages_[job];
       PagePartial& part = partials[p];
-      const std::uint32_t valid = store_.page_records(p);
-      // Dense single-page read set: same line dedupe as the scalar walk,
-      // bitmap-backed (see host::ReadSet's dense variant).
-      host::ReadSet page_rs(1, rows(),
-                            static_cast<std::uint32_t>(store_.parts()) *
-                                cfg_.chunks_per_row());
       GroupKey key(q_.group_by.size(), 0);
-      pim::Page* part_pages[2] = {&store_.page(0, p), nullptr};
-      if (store_.parts() == 2) part_pages[1] = &store_.page(1, p);
-      auto read_field = [&](const WalkAttr& wa, const pim::Page::RecordCoord& c) {
-        return part_pages[wa.part]->crossbar(c.crossbar).read_row_bits(
-            c.row, wa.f.offset, wa.f.width);
-      };
-      for (std::size_t i = bits[p].find_next(0); i < bits[p].size();
-           i = bits[p].find_next(i + 1)) {
-        if (i >= valid) break;
-        ++part.processed;
-        const pim::Page::RecordCoord c =
-            part_pages[0]->locate(static_cast<std::uint32_t>(i));
-        for (const auto& [cpart, chunk] : chunks) {
-          page_rs.touch(0, c.row,
-                        static_cast<std::uint32_t>(cpart) *
-                                cfg_.chunks_per_row() +
-                            chunk);
-        }
-        std::int64_t v = 1;
-        if (want_values) {
-          const std::uint64_t va = read_field(attr_a, c);
-          const std::uint64_t vb = have_b ? read_field(attr_b, c) : 0;
-          v = static_cast<std::int64_t>(q_.agg_expr.eval(va, vb));
-        }
-        auto combine = [&](std::int64_t& slot) {
-          if (q_.agg_func == sql::AggFunc::kMin) {
-            slot = std::min(slot, v);
-          } else if (q_.agg_func == sql::AggFunc::kMax) {
-            slot = std::max(slot, v);
-          } else {
-            slot += v;
-          }
-        };
-        if (pack_keys) {
-          std::uint64_t pk = 0;
-          std::uint32_t shift = 0;
-          for (const WalkAttr& wa : group_attrs) {
-            pk |= read_field(wa, c) << shift;
-            shift += wa.f.width;
-          }
-          const auto [it, fresh] = part.packed.try_emplace(pk, v);
-          if (!fresh) combine(it->second);
-        } else {
-          for (std::size_t a = 0; a < group_attrs.size(); ++a) {
-            key[a] = read_field(group_attrs[a], c);
-          }
-          const auto it = part.groups.find(key);
-          if (it == part.groups.end()) {
-            part.groups.emplace(key, v);  // key copied only on first sighting
-          } else {
-            combine(it->second);
-          }
-        }
-      }
-      part.lines = static_cast<std::uint32_t>(page_rs.unique_lines());
+      BlockValues vals;
+      part.lines = walk_page_blocks(
+          p, bits[p], walk, chunks.size(), vals,
+          [&](std::size_t, std::uint64_t mask, const BlockValues& bv) {
+            for (; mask != 0; mask &= mask - 1) {
+              const unsigned j = static_cast<unsigned>(std::countr_zero(mask));
+              ++part.processed;
+              std::int64_t v = 1;
+              if (want_values) {
+                v = static_cast<std::int64_t>(q_.agg_expr.eval(
+                    bv[idx_a][j], have_b ? bv[idx_b][j] : 0));
+              }
+              auto combine = [&](std::int64_t& slot) {
+                if (q_.agg_func == sql::AggFunc::kMin) {
+                  slot = std::min(slot, v);
+                } else if (q_.agg_func == sql::AggFunc::kMax) {
+                  slot = std::max(slot, v);
+                } else {
+                  slot += v;
+                }
+              };
+              if (pack_keys) {
+                std::uint64_t pk = 0;
+                std::uint32_t shift = 0;
+                for (std::size_t a = 0; a < group_attrs.size(); ++a) {
+                  pk |= bv[a][j] << shift;
+                  shift += group_attrs[a].f.width;
+                }
+                const auto [it, fresh] = part.packed.try_emplace(pk, v);
+                if (!fresh) combine(it->second);
+              } else {
+                for (std::size_t a = 0; a < group_attrs.size(); ++a) {
+                  key[a] = bv[a][j];
+                }
+                const auto it = part.groups.find(key);
+                if (it == part.groups.end()) {
+                  part.groups.emplace(key, v);  // key copied on first sighting
+                } else {
+                  combine(it->second);
+                }
+              }
+            }
+          });
     });
     GroupKey unpacked(q_.group_by.size(), 0);
     for (std::size_t p = 0; p < pages(); ++p) {
@@ -1749,72 +1784,46 @@ ScanOutput Execution::run_scan(const std::vector<std::size_t>& attrs) {
     const std::vector<BitVec> bits =
         read_column_phase(0, r_col_, slot, &active_pages_);
 
-    // Page-parallel survivor walk: each page collects its row ids and
-    // attribute codes privately (hoisted field access, dense per-page
-    // line accounting — the host-gb idiom), concatenated in page order.
-    const auto chunks = chunk_set(attrs);
-    struct PageOut {
-      std::vector<std::uint64_t> ids;
-      std::vector<std::vector<std::uint64_t>> cols;
-      std::size_t processed = 0;
-      std::uint32_t lines = 0;
-    };
-    std::vector<PageOut> partials(pages());
-    struct WalkAttr {
-      int part;
-      pim::Field f;
-    };
-    std::vector<WalkAttr> walk;
-    walk.reserve(attrs.size());
-    for (const std::size_t a : attrs) {
-      walk.push_back({store_.part_of_attr(a), store_.field(a)});
+    // Exact-size output: survivors are counted per page first (popcount of
+    // the block masks), so row_ids and every column are allocated once and
+    // each page writes its own slice, in page order, during the
+    // page-parallel block walk.
+    std::vector<std::size_t> page_first(pages(), 0);
+    std::size_t processed = 0;
+    for (const std::size_t p : active_pages_) {
+      page_first[p] = processed;
+      const std::uint32_t valid = store_.page_records(p);
+      for (std::size_t blk = 0; blk * 64 < valid; ++blk) {
+        processed += static_cast<std::size_t>(
+            std::popcount(block_mask(bits[p], blk, valid)));
+      }
     }
+    out.row_ids.resize(processed);
+    for (std::vector<std::uint64_t>& col : out.columns) col.resize(processed);
+
+    const std::size_t chunks = chunk_set(attrs).size();
+    const std::vector<WalkAttr> walk = walk_attrs(attrs);
+    std::vector<std::uint32_t> page_lines(pages(), 0);
     run_jobs(active_pages_.size(), [&](std::size_t job, pim::EnergyMeter&) {
       const std::size_t p = active_pages_[job];
-      PageOut& po = partials[p];
-      po.cols.resize(walk.size());
-      const std::uint32_t valid = store_.page_records(p);
-      host::ReadSet page_rs(1, rows(),
-                            static_cast<std::uint32_t>(store_.parts()) *
-                                cfg_.chunks_per_row());
-      pim::Page* part_pages[2] = {&store_.page(0, p), nullptr};
-      if (store_.parts() == 2) part_pages[1] = &store_.page(1, p);
-      for (std::size_t i = bits[p].find_next(0); i < bits[p].size();
-           i = bits[p].find_next(i + 1)) {
-        if (i >= valid) break;
-        ++po.processed;
-        const pim::Page::RecordCoord c =
-            part_pages[0]->locate(static_cast<std::uint32_t>(i));
-        for (const auto& [cpart, chunk] : chunks) {
-          page_rs.touch(0, c.row,
-                        static_cast<std::uint32_t>(cpart) *
-                                cfg_.chunks_per_row() +
-                            chunk);
-        }
-        po.ids.push_back(p * store_.records_per_page() + i);
-        for (std::size_t a = 0; a < walk.size(); ++a) {
-          po.cols[a].push_back(
-              part_pages[walk[a].part]->crossbar(c.crossbar).read_row_bits(
-                  c.row, walk[a].f.offset, walk[a].f.width));
-        }
-      }
-      po.lines = static_cast<std::uint32_t>(page_rs.unique_lines());
+      const std::uint64_t page_base = p * store_.records_per_page();
+      std::size_t at = page_first[p];
+      BlockValues vals;
+      page_lines[p] = walk_page_blocks(
+          p, bits[p], walk, chunks, vals,
+          [&](std::size_t first, std::uint64_t mask, const BlockValues& bv) {
+            for (; mask != 0; mask &= mask - 1, ++at) {
+              const unsigned j = static_cast<unsigned>(std::countr_zero(mask));
+              out.row_ids[at] = page_base + first + j;
+              for (std::size_t a = 0; a < bv.size(); ++a) {
+                out.columns[a][at] = bv[a][j];
+              }
+            }
+          });
     });
 
-    std::size_t processed = 0;
     std::size_t unique_lines = 0;
-    std::vector<std::uint32_t> page_lines(pages(), 0);
-    for (std::size_t p = 0; p < pages(); ++p) {
-      PageOut& po = partials[p];
-      processed += po.processed;
-      page_lines[p] = po.lines;
-      unique_lines += po.lines;
-      out.row_ids.insert(out.row_ids.end(), po.ids.begin(), po.ids.end());
-      for (std::size_t a = 0; a < po.cols.size(); ++a) {
-        out.columns[a].insert(out.columns[a].end(), po.cols[a].begin(),
-                              po.cols[a].end());
-      }
-    }
+    for (const std::uint32_t n : page_lines) unique_lines += n;
     stats_.host_lines = unique_lines;
     meter_.add(pim::EnergyCat::kRead,
                static_cast<double>(unique_lines) * cfg_.line_bytes() * 8 *

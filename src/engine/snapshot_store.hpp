@@ -33,10 +33,6 @@
 #include "engine/zone_map.hpp"
 #include "pim/crossbar.hpp"
 
-namespace bbpim::rel {
-class Table;
-}
-
 namespace bbpim::engine {
 
 class PimStore;
@@ -86,12 +82,7 @@ class SnapshotStats {
   /// distinct_values body; caller holds mutex_.
   const std::optional<std::vector<std::uint64_t>>& distinct_locked(
       std::size_t attr, const PimStore& reader) const;
-  /// Current value of (record, attr); caller holds mutex_.
-  std::uint64_t value_locked(const PimStore& reader, std::size_t record,
-                             std::size_t attr) const;
 
-  const rel::Table* table_;
-  std::size_t records_ = 0;
   std::size_t max_distinct_ = 0;
   std::vector<bool> attr_mutated_;
 

@@ -9,23 +9,6 @@ void ReadSet::touch(std::uint32_t page, std::uint32_t row, std::uint32_t chunk) 
   if (page >= per_page_lines_.size()) {
     throw std::out_of_range("ReadSet::touch: page out of range");
   }
-  if (page_bits_ != 0) {
-    const std::size_t line =
-        static_cast<std::size_t>(row) * chunks_per_row_ + chunk;
-    if (line >= page_bits_) {
-      throw std::out_of_range("ReadSet::touch: line out of range");
-    }
-    std::vector<std::uint64_t>& bits = dense_pages_[page];
-    if (bits.empty()) bits.resize((page_bits_ + 63) / 64, 0);
-    const std::uint64_t mask = 1ULL << (line & 63);
-    std::uint64_t& word = bits[line >> 6];
-    if ((word & mask) == 0) {
-      word |= mask;
-      ++per_page_lines_[page];
-      ++unique_lines_;
-    }
-    return;
-  }
   const std::uint64_t key = (static_cast<std::uint64_t>(page) << 40) |
                             (static_cast<std::uint64_t>(row) << 8) | chunk;
   if (seen_.insert(key).second) {

@@ -20,7 +20,7 @@ namespace bbpim::host {
 
 /// Phase latency of streaming per-page unique-line counts under the
 /// page-per-thread partitioning (ReadSet::phase_time_ns and the engine's
-/// page-parallel host-gb walk, which counts lines without a ReadSet).
+/// block walks, which count lines from survivor masks without a ReadSet).
 TimeNs lines_phase_time_ns(std::span<const std::uint32_t> per_page_lines,
                            const HostConfig& cfg);
 
@@ -29,17 +29,6 @@ class ReadSet {
   /// `pages` is the number of pages the relation spans (for per-thread
   /// partitioning when converting to time). Dedupe uses a hash set.
   explicit ReadSet(std::size_t pages) : per_page_lines_(pages, 0) {}
-
-  /// Dense variant: when the per-page line-id space (rows x chunks) is known
-  /// and small — it always is, a page has a fixed geometry — dedupe uses
-  /// lazily allocated per-page bitmaps instead of a hash set. O(1) with no
-  /// hashing per touch; identical observable behavior.
-  ReadSet(std::size_t pages, std::uint32_t rows_per_page,
-          std::uint32_t chunks_per_row)
-      : per_page_lines_(pages, 0),
-        page_bits_(static_cast<std::size_t>(rows_per_page) * chunks_per_row),
-        chunks_per_row_(chunks_per_row),
-        dense_pages_(pages) {}
 
   /// Registers a read of chunk `chunk` of the record at row `row` of page
   /// `page`; dedupes against previous touches of the same line.
@@ -59,10 +48,6 @@ class ReadSet {
   std::unordered_set<std::uint64_t> seen_;
   std::vector<std::uint32_t> per_page_lines_;
   std::size_t unique_lines_ = 0;
-  /// Dense mode state (page_bits_ == 0 selects the hash set).
-  std::size_t page_bits_ = 0;
-  std::uint32_t chunks_per_row_ = 0;
-  std::vector<std::vector<std::uint64_t>> dense_pages_;
 };
 
 }  // namespace bbpim::host

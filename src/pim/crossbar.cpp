@@ -1,6 +1,7 @@
 #include "pim/crossbar.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -23,6 +24,60 @@ std::uint32_t checked_data_cols(std::uint32_t rows, std::uint32_t cols,
   }
   return data_cols;
 }
+
+/// Bit positions p with p mod 2J < J: the low half of every 2J-bit group.
+template <unsigned J>
+constexpr std::uint64_t level_mask() {
+  std::uint64_t m = 0;
+  for (unsigned p = 0; p < 64; ++p) {
+    if (p % (2 * J) < J) m |= 1ULL << p;
+  }
+  return m;
+}
+
+/// One level of the recursive bit-matrix transpose over words a[0, N):
+/// swaps the J x J off-diagonal sub-blocks of every 2J x 2J block (bit c of
+/// word k is matrix element (k, c)).
+template <unsigned N, unsigned J>
+inline void transpose_level(std::uint64_t* a) {
+  constexpr std::uint64_t kMask = level_mask<J>();
+  for (unsigned base = 0; base < N; base += 2 * J) {
+    for (unsigned k = base; k < base + J; ++k) {
+      const std::uint64_t t = ((a[k] >> J) ^ a[k + J]) & kMask;
+      a[k] ^= t << J;
+      a[k + J] ^= t;
+    }
+  }
+}
+
+/// Levels N/2 .. 1 over a[0, N): transposes, in place, each of the 64 / N
+/// N x N tiles that the N words hold side by side (tile q is bits
+/// [q * N, q * N + N) of every word). N = 64 is the full 64x64 transpose.
+template <unsigned N, unsigned J = N / 2>
+inline void transpose_tiles(std::uint64_t* a) {
+  if constexpr (J >= 1) {
+    transpose_level<N, J>(a);
+    transpose_tiles<N, J / 2>(a);
+  }
+}
+
+/// a[i] holds bit i of the 64 rows' field values (a[i] = 0 for i >= the
+/// field width, N = the width rounded up to a power of two). After the tile
+/// transpose, row j = q * N + r has its value in bits [q * N, q * N + N) of
+/// a[r]; writes it to out[j] for the rows of `row_mask`.
+template <unsigned N>
+void gather_transposed(std::uint64_t* a, std::uint64_t row_mask,
+                       std::span<std::uint64_t, 64> out) {
+  transpose_tiles<N>(a);
+  constexpr std::uint64_t kLow = N == 64 ? ~0ULL : (1ULL << N) - 1;
+  for (; row_mask != 0; row_mask &= row_mask - 1) {
+    const auto j = static_cast<unsigned>(std::countr_zero(row_mask));
+    out[j] = (a[j % N] >> (j / N * N)) & kLow;
+  }
+}
+
+/// In-place full transpose: bit c of a[k] moves to bit k of a[c].
+void transpose64(std::uint64_t* a) { transpose_tiles<64>(a); }
 }  // namespace
 
 Crossbar::Crossbar(std::uint32_t rows, std::uint32_t cols)
@@ -199,6 +254,66 @@ void Crossbar::write_row_bits(std::uint32_t row, std::uint32_t offset,
       *w |= mask;
     else
       *w &= ~mask;
+  }
+}
+
+void Crossbar::read_rows_block(std::uint32_t word, std::uint64_t row_mask,
+                               std::uint32_t offset, std::uint32_t width,
+                               std::span<std::uint64_t, 64> out) const {
+  if (width == 0 || width > 64 || offset + width > cols_ ||
+      word >= words_per_col_) {
+    throw std::out_of_range("Crossbar::read_rows_block");
+  }
+  // a[i] is bit i of every row's field: column offset + i.
+  std::array<std::uint64_t, 64> a;
+  for (std::uint32_t i = 0; i < width; ++i) {
+    a[i] = column_words(offset + i)[word];
+  }
+  const std::uint32_t tile = std::bit_ceil(width);
+  std::fill(a.begin() + width, a.begin() + tile, 0ULL);
+  switch (tile) {
+    case 1: gather_transposed<1>(a.data(), row_mask, out); break;
+    case 2: gather_transposed<2>(a.data(), row_mask, out); break;
+    case 4: gather_transposed<4>(a.data(), row_mask, out); break;
+    case 8: gather_transposed<8>(a.data(), row_mask, out); break;
+    case 16: gather_transposed<16>(a.data(), row_mask, out); break;
+    case 32: gather_transposed<32>(a.data(), row_mask, out); break;
+    default: gather_transposed<64>(a.data(), row_mask, out); break;
+  }
+}
+
+void Crossbar::write_rows_block(std::uint32_t word, std::uint64_t row_mask,
+                                std::uint32_t offset, std::uint32_t width,
+                                std::span<const std::uint64_t, 64> values) {
+  if (width == 0 || width > 64 || offset + width > cols_ ||
+      word >= words_per_col_) {
+    throw std::out_of_range("Crossbar::write_rows_block");
+  }
+  if (row_mask == 0) return;
+  // Wear first: every selected row is driven whether or not its bits change.
+  if (extra_row_writes_.empty()) extra_row_writes_.resize(rows_, 0);
+  for (std::uint64_t m = row_mask; m != 0; m &= m - 1) {
+    const std::uint32_t row =
+        word * kWordBits + static_cast<std::uint32_t>(std::countr_zero(m));
+    extra_row_writes_[row] += width;
+    max_extra_row_writes_ =
+        std::max<std::uint64_t>(max_extra_row_writes_, extra_row_writes_[row]);
+  }
+  // Transposed, bits[i] holds bit i of every row's value: column offset + i.
+  std::array<std::uint64_t, 64> bits;
+  std::copy(values.begin(), values.end(), bits.begin());
+  transpose64(bits.data());
+  if (offset < data_cols_ && data_.use_count() > 1) {
+    bool same = true;
+    for (std::uint32_t i = 0; i < width && same; ++i) {
+      same = ((column_words(offset + i)[word] ^ bits[i]) & row_mask) == 0;
+    }
+    if (same) return;
+    detach_data();
+  }
+  for (std::uint32_t i = 0; i < width; ++i) {
+    std::uint64_t& w = column_words(offset + i)[word];
+    w = (w & ~row_mask) | (bits[i] & row_mask);
   }
 }
 

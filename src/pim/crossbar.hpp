@@ -76,6 +76,26 @@ class Crossbar {
   void write_row_bits(std::uint32_t row, std::uint32_t offset,
                       std::uint32_t width, std::uint64_t value);
 
+  /// Block gather: the `width`-bit field at `offset` of the rows of row
+  /// word `word` (rows [64 * word, 64 * word + 64)) selected by `row_mask`;
+  /// out[j] receives row 64 * word + j for every bit j of the mask, other
+  /// entries are left as they were. The same values as one read_row_bits
+  /// per selected row, from one load of the field's column words and one
+  /// bit-matrix transpose in tiles sized to the field width.
+  void read_rows_block(std::uint32_t word, std::uint64_t row_mask,
+                       std::uint32_t offset, std::uint32_t width,
+                       std::span<std::uint64_t, 64> out) const;
+
+  /// Block scatter, the inverse: writes the low `width` bits of values[j]
+  /// into row 64 * word + j for every bit j set in `row_mask`; other rows
+  /// keep their bits. Wear and copy-on-write are exactly those of one
+  /// write_row_bits per selected row: each selected row is charged `width`
+  /// writes whether or not its bits change, and a shared data segment
+  /// detaches only when some selected row's bits differ.
+  void write_rows_block(std::uint32_t word, std::uint64_t row_mask,
+                        std::uint32_t offset, std::uint32_t width,
+                        std::span<const std::uint64_t, 64> values);
+
   /// Snapshot of a full column as a BitVec of `rows()` bits.
   BitVec column(std::uint32_t col) const;
 

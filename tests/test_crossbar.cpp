@@ -2,6 +2,9 @@
 // and wear accounting.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 #include "common/rng.hpp"
 #include "pim/crossbar.hpp"
 #include "pim/microcode.hpp"
@@ -169,6 +172,184 @@ TEST(DeadInitMask, ReadBeforeLaterWriteKeepsInit) {
   twice.push_back(MicroOp::init1(1));
   twice.push_back(MicroOp::init0(1));
   EXPECT_EQ(dead_init_mask(twice), (std::vector<std::uint8_t>{1, 0}));
+}
+
+// --- Block gather / scatter parity against the per-row accessors ----------
+
+constexpr std::uint32_t kBlockRows = 256;   // four row words
+constexpr std::uint32_t kBlockCols = 160;
+constexpr std::uint32_t kBlockData = 96;    // columns [96, 160) are scratch
+
+/// A crossbar with a data/scratch split and every cell random.
+Crossbar random_split_crossbar(Rng& rng) {
+  Crossbar xb(kBlockRows, kBlockCols, kBlockData);
+  for (std::uint32_t c = 0; c < kBlockCols; ++c) {
+    for (std::uint32_t r = 0; r < kBlockRows; ++r) {
+      xb.set_bit(r, c, (rng.next_u64() & 1) != 0);
+    }
+  }
+  return xb;
+}
+
+/// Every cell of two crossbars, data and scratch.
+void expect_same_bits(const Crossbar& a, const Crossbar& b) {
+  for (std::uint32_t c = 0; c < a.cols(); ++c) {
+    ASSERT_EQ(a.column(c), b.column(c)) << "col " << c;
+  }
+}
+
+/// A field of `width` bits placed in [lo, hi).
+std::uint32_t random_offset(Rng& rng, std::uint32_t width, std::uint32_t lo,
+                            std::uint32_t hi) {
+  return lo + static_cast<std::uint32_t>(rng.next_below(hi - lo - width + 1));
+}
+
+/// The block gather of the rows in `mask` against read_row_bits; entries of
+/// unselected rows keep what the caller left there.
+void expect_gather_matches_rows(const Crossbar& xb, std::uint32_t word,
+                                std::uint64_t mask, std::uint32_t offset,
+                                std::uint32_t width) {
+  constexpr std::uint64_t kUntouched = 0xDEADBEEFDEADBEEFULL;
+  std::array<std::uint64_t, 64> out;
+  out.fill(kUntouched);
+  xb.read_rows_block(word, mask, offset, width, out);
+  for (std::uint32_t j = 0; j < 64; ++j) {
+    const std::uint64_t want = ((mask >> j) & 1)
+                                   ? xb.read_row_bits(word * 64 + j, offset, width)
+                                   : kUntouched;
+    ASSERT_EQ(out[j], want) << "word " << word << " row " << j << " offset "
+                            << offset << " width " << width << " mask "
+                            << mask;
+  }
+}
+
+TEST(CrossbarBlock, GatherMatchesRowReadsEveryWidth) {
+  Rng rng(101);
+  const Crossbar xb = random_split_crossbar(rng);
+  const std::uint32_t last_word = xb.words_per_column() - 1;
+  for (std::uint32_t width = 1; width <= 64; ++width) {
+    // Every row, a random half, a sparse few and one row at each width.
+    const std::uint64_t masks[] = {~0ULL, rng.next_u64(),
+                                   rng.next_u64() & rng.next_u64() &
+                                       rng.next_u64() & rng.next_u64(),
+                                   1ULL << rng.next_below(64)};
+    for (const std::uint64_t mask : masks) {
+      // Random offsets anywhere (fields may straddle the data/scratch
+      // split), on a random row word and on the last one.
+      const std::uint32_t offset = random_offset(rng, width, 0, kBlockCols);
+      const auto word =
+          static_cast<std::uint32_t>(rng.next_below(xb.words_per_column()));
+      expect_gather_matches_rows(xb, word, mask, offset, width);
+      expect_gather_matches_rows(xb, last_word, mask, offset, width);
+      // Wholly in the data segment, wholly in scratch.
+      expect_gather_matches_rows(xb, last_word, mask,
+                                 random_offset(rng, width, 0, kBlockData),
+                                 width);
+      expect_gather_matches_rows(
+          xb, 0, mask, random_offset(rng, width, kBlockData, kBlockCols),
+          width);
+    }
+  }
+}
+
+/// Applies the same random masked write to `block` (one block scatter) and
+/// `rows` (one write_row_bits per selected row), values carrying garbage
+/// above `width` that both must ignore.
+void scatter_both(Rng& rng, Crossbar& block, Crossbar& rows, std::uint32_t word,
+                  std::uint32_t offset, std::uint32_t width,
+                  std::uint64_t row_mask) {
+  std::array<std::uint64_t, 64> values;
+  for (std::uint64_t& v : values) v = rng.next_u64();
+  block.write_rows_block(word, row_mask, offset, width, values);
+  for (std::uint32_t j = 0; j < 64; ++j) {
+    if ((row_mask >> j) & 1) {
+      rows.write_row_bits(word * 64 + j, offset, width, values[j]);
+    }
+  }
+}
+
+TEST(CrossbarBlock, ScatterMatchesRowWritesEveryWidth) {
+  Rng rng(202);
+  Crossbar block = random_split_crossbar(rng);
+  Crossbar rows = block;  // private copy of the data segment
+  rows.adopt_data(std::make_shared<std::vector<std::uint64_t>>(
+      *block.data_segment()));
+  const std::uint32_t last_word = block.words_per_column() - 1;
+  for (std::uint32_t width = 1; width <= 64; ++width) {
+    const std::uint64_t masks[] = {~0ULL, rng.next_u64(),
+                                   rng.next_u64() & rng.next_u64(),
+                                   1ULL << rng.next_below(64)};
+    for (const std::uint64_t mask : masks) {
+      scatter_both(rng, block, rows,
+                   static_cast<std::uint32_t>(
+                       rng.next_below(block.words_per_column())),
+                   random_offset(rng, width, 0, kBlockCols), width, mask);
+    }
+    scatter_both(rng, block, rows, last_word,
+                 random_offset(rng, width, 0, kBlockData), width,
+                 rng.next_u64());
+    scatter_both(rng, block, rows, 0,
+                 random_offset(rng, width, kBlockData, kBlockCols), width,
+                 rng.next_u64());
+    expect_same_bits(block, rows);
+    ASSERT_EQ(block.max_extra_row_writes(), rows.max_extra_row_writes())
+        << "width " << width;
+    ASSERT_EQ(block.max_row_writes(), rows.max_row_writes());
+  }
+  // An empty mask writes nothing and charges no wear.
+  const std::uint64_t wear = block.max_extra_row_writes();
+  block.write_rows_block(0, 0, 0, 8, std::array<std::uint64_t, 64>{});
+  EXPECT_EQ(block.max_extra_row_writes(), wear);
+  expect_same_bits(block, rows);
+}
+
+TEST(CrossbarBlock, ScatterOnSharedSegmentDetachesOnlyWhenBitsChange) {
+  Rng rng(303);
+  const Crossbar base = random_split_crossbar(rng);
+  const std::vector<std::uint64_t> frozen = *base.data_segment();
+  for (const bool change : {false, true}) {
+    for (const bool in_data : {true, false}) {
+      Crossbar block(kBlockRows, kBlockCols, kBlockData);
+      Crossbar rows(kBlockRows, kBlockCols, kBlockData);
+      block.adopt_data(base.data_segment());
+      rows.adopt_data(base.data_segment());
+      const std::uint32_t width = 12;
+      const std::uint32_t offset =
+          in_data ? 40 : kBlockData + 20;  // wholly data / wholly scratch
+      const std::uint32_t word = 2;
+      const std::uint64_t mask = 0x00F0F0F0F0F0F00FULL;
+      std::array<std::uint64_t, 64> values;
+      block.read_rows_block(word, ~0ULL, offset, width, values);  // current
+      if (change) values[12] ^= 1;  // row 12 is selected by the mask
+      block.write_rows_block(word, mask, offset, width, values);
+      for (std::uint32_t j = 0; j < 64; ++j) {
+        if ((mask >> j) & 1) {
+          rows.write_row_bits(word * 64 + j, offset, width, values[j]);
+        }
+      }
+      // Scratch is private: only a changed data field detaches.
+      const bool detached = change && in_data;
+      EXPECT_EQ(block.data_shared(), !detached) << change << in_data;
+      EXPECT_EQ(rows.data_shared(), block.data_shared());
+      EXPECT_EQ(block.data_segment() == base.data_segment(), !detached);
+      EXPECT_EQ(*base.data_segment(), frozen);  // the shared holder is intact
+      expect_same_bits(block, rows);
+      EXPECT_EQ(block.max_extra_row_writes(), rows.max_extra_row_writes());
+      EXPECT_EQ(block.max_extra_row_writes(), width);  // charged either way
+    }
+  }
+}
+
+TEST(CrossbarBlock, BoundsChecked) {
+  Crossbar xb(128, 16);
+  std::array<std::uint64_t, 64> v{};
+  EXPECT_THROW(xb.read_rows_block(2, 1, 0, 4, v), std::out_of_range);  // word
+  EXPECT_THROW(xb.read_rows_block(0, 1, 14, 4, v), std::out_of_range);  // cols
+  EXPECT_THROW(xb.read_rows_block(0, 1, 0, 0, v), std::out_of_range);
+  EXPECT_THROW(xb.read_rows_block(0, 1, 0, 65, v), std::out_of_range);
+  EXPECT_THROW(xb.write_rows_block(2, 1, 0, 4, v), std::out_of_range);
+  EXPECT_THROW(xb.write_rows_block(0, 1, 14, 4, v), std::out_of_range);
+  EXPECT_THROW(xb.write_rows_block(0, 1, 0, 65, v), std::out_of_range);
 }
 
 TEST(Crossbar, WearAccounting) {

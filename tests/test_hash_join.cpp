@@ -3,13 +3,15 @@
 // normalized schema), on the reference backend for all 13 queries and on
 // the one-xb PIM engine end to end. Plus the host hash join's duplicate-key
 // cross product, empty build sides, the Database-scope plan cache, EXPLAIN
-// of the join tree, and the backends that must refuse.
+// of the join tree, the backends that must refuse, and the join's stats
+// against its decomposed per-table scans.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
 #include "db/db.hpp"
+#include "engine/hash_join.hpp"
 #include "ssb/dbgen.hpp"
 #include "ssb/queries.hpp"
 
@@ -76,6 +78,45 @@ TEST(HashJoin, AllQueriesMatchReferenceOnOneXbPim) {
     EXPECT_GT(pim.stats().total_ns, 0.0) << "q" << q.id;
     EXPECT_GT(pim.stats().phases.filter, 0.0) << "q" << q.id;
   }
+}
+
+// A star join's result carries the sum of its per-table scans' worst-row
+// writes and classification-memo hits, as it does their latency.
+TEST(HashJoin, StatsSumDecomposedScans) {
+  JoinWorld& w = world();
+  db::Session session(w.normalized);
+  std::size_t memo_seen = 0;
+  for (const bool prune : {false, true}) {
+    engine::ExecOptions opts;
+    opts.prune = prune;
+    for (const ssb::SsbQuery& q : ssb::queries()) {
+      const std::string sql(q.sql);
+      session.execute(sql, db::BackendKind::kOneXb, opts);  // warm caches
+      const db::ResultSet rs =
+          session.execute(sql, db::BackendKind::kOneXb, opts);
+      const db::PreparedStatement ps = session.prepare(sql);
+      const sql::BoundJoin& jp = ps.join();
+      const auto attrs = engine::join_scan_attrs(jp);
+      double total_ns = 0;
+      std::uint64_t wear = 0;
+      std::size_t memo_hits = 0;
+      for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+        db::Executor& ex =
+            session.executor(db::BackendKind::kOneXb, jp.table_names[t]);
+        const engine::ScanOutput scan =
+            ex.execute_scan(jp.filters[t], attrs[t], opts);
+        total_ns += scan.stats.total_ns;
+        wear += scan.stats.wear_row_writes;
+        memo_hits += scan.stats.classification_memo_hits;
+      }
+      EXPECT_GT(wear, 0u) << "q" << q.id;
+      EXPECT_EQ(rs.stats().wear_row_writes, wear) << "q" << q.id;
+      EXPECT_EQ(rs.classification_memo_hits(), memo_hits) << "q" << q.id;
+      EXPECT_GE(rs.stats().total_ns, total_ns) << "q" << q.id;  // + host join
+      memo_seen += memo_hits;
+    }
+  }
+  EXPECT_GT(memo_seen, 0u);  // the memo sum was exercised, not just 0 == 0
 }
 
 TEST(HashJoin, DuplicateBuildKeysYieldCrossProduct) {

@@ -70,12 +70,18 @@ struct Fixture {
   }
 
   /// Parks the single worker inside a long execution (stalled crossbar
-  /// visits) and waits until it has taken the statement off the queue, so
-  /// subsequent submits deterministically land in the queue.
+  /// visits) and waits until it is executing the statement — past its
+  /// gather window — so subsequent submits deterministically land in the
+  /// queue instead of joining the occupier's batch. The queue check comes
+  /// first: once the statement is off the queue, the worker's state is the
+  /// occupier's, not a warm-up task's that has not reported idle yet.
   std::future<db::ResultSet> occupy_worker() {
     std::future<db::ResultSet> f = service->submit(kCount);
-    if (!wait_until([&] { return service->queue_depth() == 0; })) {
-      ADD_FAILURE() << "worker never picked up the occupying statement";
+    if (!wait_until([&] {
+          return service->queue_depth() == 0 &&
+                 service->counters().executing == 1;
+        })) {
+      ADD_FAILURE() << "worker never started executing the occupying statement";
     }
     return f;
   }
@@ -320,6 +326,33 @@ TEST(ServiceOverload, PressureBoostsGatherWindowBeforeShedding) {
   // never over its bound, nothing was shed).
   EXPECT_GE(counters.degraded_gathers, 1u);
   EXPECT_EQ(counters.shed, 0u);
+}
+
+TEST(ServiceOverload, WorkerStateGoesGatheringExecutingIdle) {
+  db::QueryServiceOptions opts;
+  opts.shared_scan.enabled = true;
+  opts.shared_scan.max_batch = 8;
+  opts.shared_scan.gather_window_us = 200'000;  // a window wide enough to see
+  Fixture fx(opts);
+  using State = db::QueryService::WorkerState;
+  auto state = [&] { return fx.service->worker_states().at(0); };
+  ASSERT_TRUE(wait_until([&] { return state() == State::kIdle; }));
+  EXPECT_EQ(fx.service->counters().executing, 0u);
+
+  engine::FaultInjector fi;
+  fi.arm(engine::FaultSeam::kCrossbarVisit, stall_rule(20'000));
+  engine::ScopedFaultInjection scope(fi);
+  std::future<db::ResultSet> f = fx.service->submit(kCount);
+  // Alone in the queue, the statement waits out the gather window first.
+  EXPECT_TRUE(wait_until([&] { return state() == State::kGathering; }));
+  EXPECT_EQ(fx.service->counters().executing, 0u);
+  EXPECT_TRUE(wait_until([&] {
+    return state() == State::kExecuting && fx.service->counters().executing == 1;
+  }));
+  EXPECT_EQ(f.get().row_count(), 1u);
+  EXPECT_TRUE(wait_until([&] {
+    return state() == State::kIdle && fx.service->counters().executing == 0;
+  }));
 }
 
 // ---------------------------------------------------------------------------
